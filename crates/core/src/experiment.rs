@@ -229,17 +229,6 @@ impl SweepConfig {
     }
 }
 
-/// Shards actually usable for a platform configuration. Live migration
-/// and utilization sampling are envelope-based and shard-aware
-/// (owner-resolved migration, per-invoker sample rows coalesced after
-/// the merge), so multi-shard requests no longer degrade for them; only
-/// the floor of one shard remains. The streaming driver is the one
-/// surface that still degrades — [`run_point_streaming`] reports it via
-/// [`note_shard_degrade`].
-fn effective_shards(_platform: &PlatformConfig, shards: u32) -> u32 {
-    shards.max(1)
-}
-
 /// Makes a degraded shard request visible: warns on stderr and bumps the
 /// `shard_degrades` counter. Returns whether a degrade happened.
 fn note_shard_degrade(counters: &mut CounterRegistry, requested: u32, effective: u32) -> bool {
@@ -256,9 +245,9 @@ fn note_shard_degrade(counters: &mut CounterRegistry, requested: u32, effective:
 
 /// Runs one simulation point and reduces it to a [`SweepPoint`].
 ///
-/// With `cfg.shards > 1` the point runs on the sharded multi-core driver;
-/// the byte-identity contract makes the result independent of the shard
-/// count.
+/// The point runs on the sharded driver with `cfg.shards` shards (at
+/// least one); the byte-identity contract makes the result independent
+/// of the shard count.
 pub fn run_point(
     cluster: &ClusterSpec,
     policy: PolicyKind,
@@ -270,27 +259,15 @@ pub fn run_point(
     let trace = workload.invocations(cfg.duration, &seeds.child("arrivals"));
     // Allow a drain tail after the offered-load window.
     let horizon = cfg.duration + SimDuration::from_mins(3);
-    let shards = effective_shards(&cfg.platform, cfg.shards);
-    let out = if shards > 1 {
-        ShardedSimulation::new(
-            cluster.clone(),
-            trace,
-            policy,
-            cfg.platform.clone(),
-            seeds.seed_for("platform"),
-            shards,
-        )
-        .run(horizon)
-    } else {
-        Simulation::new(
-            cluster.clone(),
-            trace,
-            policy.build(),
-            cfg.platform.clone(),
-            seeds.seed_for("platform"),
-        )
-        .run(horizon)
-    };
+    let out = ShardedSimulation::new(
+        cluster.clone(),
+        trace,
+        policy,
+        cfg.platform.clone(),
+        seeds.seed_for("platform"),
+        cfg.shards.max(1),
+    )
+    .run(horizon);
     let m = out.collector.aggregate(SimTime::ZERO + cfg.warmup);
     let s = &out.collector.streaming;
     SweepPoint {
@@ -527,29 +504,16 @@ pub fn chaos_point(
     let plan = fault.compile(cluster.vms.len() as u32, horizon, &seeds.child("faults"));
     let mut platform = cfg.platform.clone();
     platform.recovery.enabled = recovery;
-    let shards = effective_shards(&platform, cfg.shards);
-    let out = if shards > 1 {
-        ShardedSimulation::with_faults(
-            cluster.clone(),
-            trace,
-            policy,
-            platform,
-            seeds.seed_for("platform"),
-            plan,
-            shards,
-        )
-        .run(horizon)
-    } else {
-        Simulation::with_faults(
-            cluster.clone(),
-            trace,
-            policy.build(),
-            platform,
-            seeds.seed_for("platform"),
-            plan,
-        )
-        .run(horizon)
-    };
+    let out = ShardedSimulation::with_faults(
+        cluster.clone(),
+        trace,
+        policy,
+        platform,
+        seeds.seed_for("platform"),
+        plan,
+        cfg.shards.max(1),
+    )
+    .run(horizon);
     out.assert_conservation();
     let m = out.collector.aggregate(SimTime::ZERO + cfg.warmup);
     ChaosPoint {
@@ -744,22 +708,6 @@ mod tests {
         assert_eq!(solo.completed, sharded.completed);
         assert_eq!(solo.p99, sharded.p99);
         assert_eq!(solo.cold_rate, sharded.cold_rate);
-    }
-
-    #[test]
-    fn migration_and_sampling_run_at_the_requested_shard_count() {
-        // Both used to pin the run to one shard; they are envelope-based
-        // now and keep the full count.
-        let mut migrating = PlatformConfig::default();
-        migrating.migration.enabled = true;
-        assert_eq!(effective_shards(&migrating, 8), 8);
-        let sampling = PlatformConfig {
-            sample_interval: SimDuration::from_secs(1),
-            ..PlatformConfig::default()
-        };
-        assert_eq!(effective_shards(&sampling, 8), 8);
-        assert_eq!(effective_shards(&PlatformConfig::default(), 8), 8);
-        assert_eq!(effective_shards(&PlatformConfig::default(), 0), 1);
     }
 
     #[test]

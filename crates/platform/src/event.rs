@@ -367,15 +367,3 @@ pub enum Event {
         deltas: Vec<ViewDeltaRow>,
     },
 }
-
-impl Event {
-    /// The delay this event type typically travels with, given the bus
-    /// latency — a helper so senders agree on message costs.
-    pub fn message_delay(bus_latency: SimDuration, is_message: bool) -> SimDuration {
-        if is_message {
-            bus_latency
-        } else {
-            SimDuration::ZERO
-        }
-    }
-}

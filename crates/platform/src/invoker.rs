@@ -11,7 +11,8 @@
 //!   new invocations wait in the invoker queue;
 //! * health snapshots for the controller's pings.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use hrv_policy::{ColdStartPolicy, FixedKeepAlive, IdleCtx};
 use hrv_sim::calendar::{EventCalendar, EventId};
@@ -59,6 +60,60 @@ pub struct Container {
     pub prewarmed: bool,
     /// Invocations this container has finished serving.
     pub served: u64,
+}
+
+/// Idle containers grouped by function, each group sorted by ascending
+/// container id.
+///
+/// Kept in step with every transition into or out of
+/// [`ContainerState::Idle`], so warm reuse and the policy's idle-peer
+/// count are lookups rather than scans of the container pool. The
+/// lowest id in a group is exactly the container a scan of the
+/// id-ordered pool would find first, which keeps reuse order — and with
+/// it every simulated result — unchanged.
+#[derive(Debug, Default)]
+struct IdleIndex {
+    by_function: HashMap<FunctionId, Vec<u64>>,
+}
+
+impl IdleIndex {
+    /// Records `cid` as idle.
+    fn insert(&mut self, function: FunctionId, cid: u64) {
+        let ids = self.by_function.entry(function).or_default();
+        let pos = ids.partition_point(|&id| id < cid);
+        debug_assert!(ids.get(pos) != Some(&cid), "container {cid} indexed twice");
+        ids.insert(pos, cid);
+    }
+
+    /// Forgets idle container `cid`; an emptied group is dropped so the
+    /// index stays as small as the idle pool.
+    fn remove(&mut self, function: FunctionId, cid: u64) {
+        let Entry::Occupied(mut group) = self.by_function.entry(function) else {
+            panic!("idle container {cid} missing from the index");
+        };
+        let ids = group.get_mut();
+        let pos = ids
+            .binary_search(&cid)
+            .unwrap_or_else(|_| panic!("idle container {cid} missing from the index"));
+        ids.remove(pos);
+        if ids.is_empty() {
+            group.remove();
+        }
+    }
+
+    /// The lowest-id idle container for `function`.
+    fn lowest(&self, function: FunctionId) -> Option<u64> {
+        self.by_function.get(&function).map(|ids| ids[0])
+    }
+
+    /// Idle containers for `function`.
+    fn count(&self, function: FunctionId) -> usize {
+        self.by_function.get(&function).map_or(0, Vec::len)
+    }
+
+    fn clear(&mut self) {
+        self.by_function.clear();
+    }
 }
 
 /// A prewarm order decided at an idle transition, drained by the world
@@ -136,6 +191,8 @@ pub struct InvokerState {
     derate: f64,
     ps: PsQueue,
     containers: BTreeMap<u64, Container>,
+    /// The idle members of `containers`, by function.
+    idle: IdleIndex,
     /// Invocation parked in each starting container.
     starting: BTreeMap<u64, Invocation>,
     /// Invocations accepted but not yet started (admission / memory).
@@ -196,6 +253,7 @@ impl InvokerState {
             derate: 1.0,
             ps: PsQueue::new(0.0),
             containers: BTreeMap::new(),
+            idle: IdleIndex::default(),
             starting: BTreeMap::new(),
             queue: VecDeque::new(),
             running: BTreeMap::new(),
@@ -329,12 +387,9 @@ impl InvokerState {
         self.rearm_completion(cal);
     }
 
-    /// Finds an idle warm container for `function`.
+    /// Finds the lowest-id idle warm container for `function`.
     fn find_idle_container(&self, function: FunctionId) -> Option<u64> {
-        self.containers
-            .values()
-            .find(|c| c.state == ContainerState::Idle && c.function == function)
-            .map(|c| c.id)
+        self.idle.lowest(function)
     }
 
     /// Frees memory for a new container by reaping idle (LRU-first)
@@ -375,6 +430,7 @@ impl InvokerState {
             ContainerState::Idle,
             "destroyed a non-idle container"
         );
+        self.idle.remove(c.function, cid);
         if let Some(ev) = c.keepalive {
             cal.cancel(ev);
         }
@@ -400,6 +456,7 @@ impl InvokerState {
             cal.cancel(ev);
         }
         c.state = ContainerState::Busy;
+        self.idle.remove(c.function, cid);
         if c.prewarmed && c.served == 0 {
             self.prewarm_hits += 1;
         }
@@ -543,11 +600,7 @@ impl InvokerState {
                 fixed_keep_alive: cfg.keep_alive,
                 cold_start_delay: cfg.cold_start_delay,
                 bus_latency: cfg.bus_latency,
-                idle_peers: self
-                    .containers
-                    .values()
-                    .filter(|c| c.state == ContainerState::Idle && c.function == function)
-                    .count(),
+                idle_peers: self.idle.count(function),
             };
             let decision = self.policy.on_idle(function, &ctx);
             let c = self
@@ -557,6 +610,7 @@ impl InvokerState {
             c.state = ContainerState::Idle;
             c.last_used = now;
             c.served += 1;
+            self.idle.insert(function, cid);
             match decision.keep_alive {
                 Some(ttl) => {
                     c.keepalive = Some(cal.schedule(
@@ -687,6 +741,7 @@ impl InvokerState {
         debug_assert_eq!(c.state, ContainerState::Starting);
         c.state = ContainerState::Idle;
         c.last_used = now;
+        self.idle.insert(c.function, cid);
         c.keepalive = Some(cal.schedule(
             now.saturating_add(ttl),
             Event::KeepAliveExpired {
@@ -806,6 +861,7 @@ impl InvokerState {
         let queued = std::mem::take(&mut self.queue).into_iter().collect();
         self.starting_cap = 0.0;
         self.containers.clear();
+        self.idle.clear();
         self.memory_used = 0;
         self.allocated_cpus = 0;
         self.derate = 1.0;
@@ -954,6 +1010,7 @@ mod tests {
     use super::*;
     use hrv_trace::faas::AppId;
     use hrv_trace::time::SimDuration;
+    use proptest::prelude::*;
 
     fn cfg() -> PlatformConfig {
         PlatformConfig {
@@ -1334,6 +1391,144 @@ mod tests {
         // And the next call cold-starts again.
         iv.deliver(SimTime::from_secs(10), inv(1, 1, 1.0, 256), &mut cal, &c);
         assert_eq!(iv.cold_starts, 2);
+    }
+
+    #[test]
+    fn warm_reuse_picks_the_lowest_idle_container_id() {
+        let (mut iv, mut cal) = fresh(8, 64 * 1024);
+        let c = PlatformConfig {
+            admission_pressure: 10.0,
+            ..cfg()
+        };
+        // Three concurrent calls of one function cold-start containers
+        // 0, 1 and 2; they go idle in the order 2, 0, 1.
+        for (i, dur) in [3.0, 5.0, 1.0].into_iter().enumerate() {
+            iv.deliver(SimTime::ZERO, inv(i as u64, 5, dur, 256), &mut cal, &c);
+        }
+        let finished = drive(&mut iv, &mut cal, &c, SimTime::from_secs(10));
+        assert_eq!(finished.len(), 3);
+        // The next call reuses container 0: neither the most recently
+        // idled (1) nor the first to idle (2).
+        iv.deliver(SimTime::from_secs(10), inv(3, 5, 1.0, 256), &mut cal, &c);
+        assert_eq!(iv.warm_starts, 1);
+        assert!(iv.running_invocation(0).is_some());
+        assert!(iv.running_invocation(1).is_none() && iv.running_invocation(2).is_none());
+    }
+
+    /// The idle index as a scan of the id-ordered container pool builds
+    /// it: the reference the incremental index must always equal.
+    fn idle_by_scan(iv: &InvokerState) -> BTreeMap<FunctionId, Vec<u64>> {
+        let mut groups: BTreeMap<FunctionId, Vec<u64>> = BTreeMap::new();
+        for c in iv.containers.values() {
+            if c.state == ContainerState::Idle {
+                groups.entry(c.function).or_default().push(c.id);
+            }
+        }
+        groups
+    }
+
+    /// The index's groups as stored, empty ones included.
+    fn idle_by_index(iv: &InvokerState) -> BTreeMap<FunctionId, Vec<u64>> {
+        let groups = iv.idle.by_function.iter();
+        groups.map(|(&f, ids)| (f, ids.clone())).collect()
+    }
+
+    /// One step of the idle-index property test.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Deliver a call of function `app` (of a handful).
+        Deliver { app: u32, dur_ms: u64, mem: u64 },
+        /// Advance the invoker's own timers by `ms` (completions,
+        /// startups, prewarm readiness, keep-alive expiry).
+        Advance { ms: u64 },
+        /// A policy's prewarm order for `app`.
+        Prewarm { app: u32, ttl_s: u64 },
+        /// Migrate the `pick`-th running invocation out and back in.
+        Migrate { pick: usize },
+        /// Harvest CPU resize.
+        Resize { cpus: u32 },
+        /// VM eviction, then a fresh deploy.
+        Evict,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            6 => (0u32..6, 100u64..4_000, 1u64..4).prop_map(|(app, dur_ms, m)| Op::Deliver {
+                app,
+                dur_ms,
+                mem: m * 256,
+            }),
+            6 => (1u64..5_000).prop_map(|ms| Op::Advance { ms }),
+            2 => (0u32..6, 1u64..20).prop_map(|(app, ttl_s)| Op::Prewarm { app, ttl_s }),
+            1 => (0usize..8).prop_map(|pick| Op::Migrate { pick }),
+            1 => (0u32..6).prop_map(|cpus| Op::Resize { cpus }),
+            1 => (0u32..1).prop_map(|_| Op::Evict),
+        ]
+    }
+
+    proptest! {
+        /// Random deliver / complete / keep-alive expiry / memory
+        /// pressure / prewarm / migrate / evict sequences: after every
+        /// step the idle index equals a scan of the container pool, under
+        /// each keep-alive policy (fixed TTL, reap-on-idle, bounded pool).
+        #[test]
+        fn idle_index_matches_a_scan_of_the_pool(
+            ops in prop::collection::vec(op(), 1..120),
+            policy in 0u32..3,
+        ) {
+            // 1 GiB holds four 256 MiB containers: deliveries routinely
+            // reap idle ones to make room. A 3 s keep-alive expires
+            // within a few Advance steps.
+            let (mut iv, mut cal) = fresh(4, 1_024);
+            let c = PlatformConfig {
+                keep_alive: SimDuration::from_secs(3),
+                ..cfg()
+            };
+            match policy {
+                1 => iv.set_policy(hrv_policy::ColdStartConfig::Null.build()),
+                2 => iv.set_policy(
+                    hrv_policy::ColdStartConfig::WarmPool(hrv_policy::WarmPoolConfig::default())
+                        .build(),
+                ),
+                _ => {}
+            }
+            let mut now = SimTime::ZERO;
+            for (step, op) in ops.into_iter().enumerate() {
+                match op {
+                    Op::Deliver { app, dur_ms, mem } => {
+                        let call = Invocation {
+                            duration: SimDuration::from_millis(dur_ms),
+                            ..inv(step as u64, app, 0.0, mem)
+                        };
+                        iv.deliver(now, call, &mut cal, &c);
+                    }
+                    Op::Advance { ms } => {
+                        let until = now + SimDuration::from_millis(ms);
+                        drive(&mut iv, &mut cal, &c, until);
+                        now = until;
+                    }
+                    Op::Prewarm { app, ttl_s } => {
+                        let ttl = SimDuration::from_secs(ttl_s);
+                        iv.start_prewarm(now, fid(app), 256, ttl, &mut cal, &c);
+                    }
+                    Op::Migrate { pick } => {
+                        let cid = iv.running.keys().nth(pick).copied();
+                        if let Some(cid) = cid {
+                            if let Some((run, remaining)) = iv.extract_running(now, cid, &mut cal) {
+                                iv.implant_running(now, run, remaining, &mut cal);
+                            }
+                        }
+                    }
+                    Op::Resize { cpus } => iv.resize(now, cpus, &mut cal, &c),
+                    Op::Evict => {
+                        iv.evict(now, &mut cal);
+                        iv.deploy(now, 4);
+                    }
+                }
+                let (index, scan) = (idle_by_index(&iv), idle_by_scan(&iv));
+                prop_assert_eq!(index, scan, "after step {} ({:?})", step, op);
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,9 @@
 //! canonically re-sorted, counters are sums). The single-shard
 //! [`run_rounds`] below is the same algorithm without threads — it backs
 //! `Simulation::run`, which is why `S = 1` matches the unsharded
-//! simulation byte for byte.
+//! simulation byte for byte. A one-shard [`ShardedSimulation`] runs
+//! [`run_rounds`] in the calling thread too; the threaded
+//! `shard_worker` only runs for `S ≥ 2`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -80,11 +82,31 @@ fn local_next<C: EventCalendar<Event>>(cal: &mut C, pending: &PendingHeap) -> u6
     }
 }
 
+/// Stops a shard's driver: the envelopes still pending for its world
+/// (and, after an event-budget stop, any the world has not yet handed
+/// over) are shown to the world, so censoring at the horizon knows which
+/// invocations already finished with their report still on the bus.
+fn stop_shard(
+    world: &mut PlatformWorld,
+    mut pending: PendingHeap,
+    events: u64,
+    end_time: SimTime,
+    reason: StopReason,
+) -> RunStats {
+    pending.extend(world.take_outbox().into_iter().map(Reverse));
+    world.note_undelivered(pending.iter().map(|e| &e.0));
+    RunStats {
+        events,
+        end_time,
+        reason,
+    }
+}
+
 /// Drives one solo-plan world to `end` in lookahead rounds, pumping its
-/// outbox back into its own calendar. This is `Simulation::run`'s engine:
-/// identical round boundaries and injection order to the threaded driver,
-/// which is what makes a 1-shard `ShardedSimulation` (and any other shard
-/// count) byte-identical to the plain simulation.
+/// outbox back into its own calendar. This is the engine of
+/// `Simulation::run` and of a 1-shard `ShardedSimulation`: identical
+/// round boundaries and injection order to the threaded driver, which is
+/// what makes every shard count byte-identical to the plain simulation.
 pub fn run_rounds<C: EventCalendar<Event>>(
     world: &mut PlatformWorld,
     cal: &mut C,
@@ -105,29 +127,23 @@ pub fn run_rounds<C: EventCalendar<Event>>(
         }
         let next = local_next(cal, &pending);
         if next == u64::MAX {
-            return RunStats {
-                events,
-                end_time: cal.now(),
-                reason: StopReason::Drained,
-            };
+            return stop_shard(world, pending, events, cal.now(), StopReason::Drained);
         }
         if next >= end.as_micros() {
-            return RunStats {
-                events,
-                end_time: cal.now(),
-                reason: StopReason::ReachedEnd,
-            };
+            return stop_shard(world, pending, events, cal.now(), StopReason::ReachedEnd);
         }
         let stop = SimTime::from_micros(next).saturating_add(delta).min(end);
         inject_due(&mut pending, cal, stop);
         let stats = run_until(world, cal, stop, max_events - events);
         events += stats.events;
         if matches!(stats.reason, StopReason::EventBudget) {
-            return RunStats {
+            return stop_shard(
+                world,
+                pending,
                 events,
-                end_time: stats.end_time,
-                reason: StopReason::EventBudget,
-            };
+                stats.end_time,
+                StopReason::EventBudget,
+            );
         }
     }
 }
@@ -182,22 +198,13 @@ fn shard_worker(
             }
         }
         barrier.wait();
-        match verdict.load(Ordering::SeqCst) {
-            ROUND_DRAINED => {
-                return RunStats {
-                    events,
-                    end_time: cal.now(),
-                    reason: StopReason::Drained,
-                }
-            }
-            ROUND_REACHED_END => {
-                return RunStats {
-                    events,
-                    end_time: cal.now(),
-                    reason: StopReason::ReachedEnd,
-                }
-            }
-            _ => {}
+        let reason = match verdict.load(Ordering::SeqCst) {
+            ROUND_DRAINED => Some(StopReason::Drained),
+            ROUND_REACHED_END => Some(StopReason::ReachedEnd),
+            _ => None,
+        };
+        if let Some(reason) = reason {
+            return stop_shard(world, pending, events, cal.now(), reason);
         }
         let stop = SimTime::from_micros(stop_us.load(Ordering::SeqCst));
         inject_due(&mut pending, cal, stop);
@@ -215,7 +222,8 @@ fn shard_worker(
 /// of the invokers and hosting the controller replicas assigned to it
 /// (replica `r` lives on shard `r mod S`; replica 0 — the whole
 /// controller when `sharding.replicas == 1` — on shard 0), with its own
-/// timer-wheel calendar, run on `S` worker threads. Each shard consumes
+/// timer-wheel calendar, run on `S` worker threads (a single shard runs
+/// in the calling thread). Each shard consumes
 /// the arrivals its hosted replicas own directly — no hop through
 /// shard 0. Records, event counts, and start counters are byte-identical
 /// for every shard count; streaming float aggregates merge via
@@ -246,7 +254,7 @@ impl ShardedSimulation {
     /// seeds only the faults aimed at entities it owns.
     pub fn with_faults(
         spec: ClusterSpec,
-        workload: Vec<Invocation>,
+        mut workload: Vec<Invocation>,
         policy: PolicyKind,
         cfg: PlatformConfig,
         seed: u64,
@@ -262,12 +270,17 @@ impl ShardedSimulation {
             let plan = ShardPlan::new(s, shards);
             // Each shard consumes exactly the arrivals whose owning
             // replica it hosts (all of them when `replicas == 1` and
-            // `s == 0` — the classic single-controller layout).
-            let owned: Vec<Invocation> = workload
-                .iter()
-                .filter(|inv| plan.owns_replica(owner_of(replicas, inv.function)))
-                .cloned()
-                .collect();
+            // `s == 0` — the classic single-controller layout). A single
+            // shard owns every replica and takes the trace as it is.
+            let owned: Vec<Invocation> = if shards == 1 {
+                std::mem::take(&mut workload)
+            } else {
+                workload
+                    .iter()
+                    .filter(|inv| plan.owns_replica(owner_of(replicas, inv.function)))
+                    .cloned()
+                    .collect()
+            };
             let stream: Box<dyn ArrivalStream> = Box::new(SortedTraceStream::new(owned));
             let world = PlatformWorld::from_stream_sharded_in(
                 spec.clone(),
@@ -289,9 +302,16 @@ impl ShardedSimulation {
         }
     }
 
-    /// Runs all shards to `horizon` and merges their outputs.
-    pub fn run(self, horizon: SimDuration) -> SimOutput {
+    /// Runs all shards to `horizon` and merges their outputs. A single
+    /// shard runs [`run_rounds`] in the calling thread; more shards run
+    /// one worker thread each.
+    pub fn run(mut self, horizon: SimDuration) -> SimOutput {
         let end = SimTime::ZERO + horizon;
+        if self.shards == 1 {
+            let (mut world, mut cal) = (self.worlds.remove(0), self.cals.remove(0));
+            let run = run_rounds(&mut world, &mut cal, end, u64::MAX);
+            return merge_outputs(vec![(world, run)]);
+        }
         let shards = self.shards;
         let n = shards as usize;
         let delta = self.worlds[0].cfg().bus_latency;
@@ -329,13 +349,14 @@ impl ShardedSimulation {
     }
 }
 
-/// Merges per-shard worlds into one [`SimOutput`]: every shard censors
-/// whatever its hosted replicas still have in flight at the latest shard
-/// clock (flushing its replica-occupancy rows on the way out), then
-/// shard 0 absorbs every peer's metrics; counters are sums, records
-/// re-sort into canonical order, and buffered per-invoker utilization
-/// rows coalesce inside `canonicalize_records`.
-fn merge_outputs(results: Vec<(PlatformWorld, RunStats)>) -> SimOutput {
+/// Finishes a run: merges per-shard worlds (one, for a solo run) into
+/// one [`SimOutput`]. Every shard censors whatever its hosted replicas
+/// still have in flight at the latest shard clock (flushing its
+/// replica-occupancy rows on the way out), then shard 0 absorbs every
+/// peer's metrics; counters are sums, records re-sort into canonical
+/// order, and buffered per-invoker utilization rows coalesce inside
+/// `canonicalize_records`.
+pub(crate) fn merge_outputs(results: Vec<(PlatformWorld, RunStats)>) -> SimOutput {
     let events: u64 = results.iter().map(|(_, r)| r.events).sum();
     let end_time = results
         .iter()

@@ -1,7 +1,7 @@
 //! The platform world: wires VM traces, invokers, the controller, and the
 //! workload into one deterministic discrete-event simulation.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use hrv_fault::{DispatchOutcome, DispatchSampler, FaultKind, FaultPlan, WarningFault};
 use hrv_lb::owner_of;
@@ -140,6 +140,11 @@ pub struct PlatformWorld {
     /// Cross-entity messages produced during the current round; the
     /// round driver drains and re-injects them (see [`crate::shard`]).
     outbox: Vec<Envelope>,
+    /// Invocations whose completion [`Event::Report`] to a replica
+    /// hosted here was still on the bus when the driver stopped. The
+    /// invoker already recorded them `Completed`, so censoring must not
+    /// record them again.
+    reported_in_flight: HashSet<u64>,
     /// Per-sender message counters backing the canonical envelope order
     /// (invoker and classic-controller entities, indexed by entity id).
     msg_seq: Vec<u64>,
@@ -446,6 +451,7 @@ impl PlatformWorld {
             metrics,
             plan,
             outbox: Vec::new(),
+            reported_in_flight: HashSet::new(),
             msg_seq: Vec::new(),
             replica_seq: Vec::new(),
             monitor_pending_cpus: 0,
@@ -532,6 +538,16 @@ impl PlatformWorld {
     /// them at the start of the round they become due in.
     pub fn take_outbox(&mut self) -> Vec<Envelope> {
         std::mem::take(&mut self.outbox)
+    }
+
+    /// Shows the world the envelopes addressed to it that were still in
+    /// flight when its driver stopped (see [`PlatformWorld::censor_remaining`]).
+    pub(crate) fn note_undelivered<'a>(&mut self, envelopes: impl Iterator<Item = &'a Envelope>) {
+        for env in envelopes {
+            if let Event::Report { report, .. } = &env.event {
+                self.reported_in_flight.insert(report.invocation);
+            }
+        }
     }
 
     /// Emits a cross-entity message. Every cross-entity interaction —
@@ -1401,7 +1417,11 @@ impl PlatformWorld {
 
     /// Marks everything still in flight as censored (call after the run,
     /// on every world — each censors the replicas it hosts) and flushes
-    /// per-replica occupancy counters into the metrics.
+    /// per-replica occupancy counters into the metrics. An invocation
+    /// whose completion report was still on the bus when the driver
+    /// stopped already has its `Completed` record and is not censored
+    /// again. (After an event-budget stop, a report the driver had
+    /// already moved into the calendar is not known here.)
     pub fn censor_remaining(&mut self, now: SimTime) {
         for li in 0..self.replicas.len() {
             let entity = replica_entity(self.replicas[li].index);
@@ -1422,6 +1442,9 @@ impl PlatformWorld {
             }
             let inflight = self.replicas[li].controller.inflight_ids();
             for id in inflight {
+                if self.reported_in_flight.contains(&id) {
+                    continue;
+                }
                 self.tel.record(entity, now, id, SpanKind::Censored);
                 self.metrics.push(InvocationRecord {
                     id,
@@ -1826,25 +1849,7 @@ impl Simulation {
     pub fn run_with_budget(mut self, horizon: SimDuration, max_events: u64) -> SimOutput {
         let end = SimTime::ZERO + horizon;
         let run = crate::shard::run_rounds(&mut self.world, &mut self.calendar, end, max_events);
-        self.world.censor_remaining(self.calendar.now());
-        self.world.metrics.dropped_completions = self.world.total_dropped_completions();
-        let (spawns, hits, wasted, idle) = (
-            self.world.total_prewarm_spawns(),
-            self.world.total_prewarm_hits(),
-            self.world.total_wasted_prewarms(),
-            self.world.total_idle_mib_secs(),
-        );
-        self.world
-            .metrics
-            .set_coldstart_totals(spawns, hits, wasted, idle);
-        self.world.metrics.canonicalize_records();
-        SimOutput {
-            cold_starts: self.world.total_cold_starts(),
-            warm_starts: self.world.total_warm_starts(),
-            recorder: std::mem::take(&mut self.world.tel.recorder),
-            collector: self.world.metrics,
-            run,
-        }
+        crate::shard::merge_outputs(vec![(self.world, run)])
     }
 
     /// Access to the world before running (for test instrumentation).
@@ -2334,6 +2339,57 @@ mod tests {
             "p99 {:?} should blow the 50 s SLO",
             m.p99()
         );
+    }
+}
+
+#[cfg(test)]
+mod horizon_tests {
+    use super::*;
+    use crate::shard::ShardedSimulation;
+    use hrv_lb::policy::PolicyKind;
+    use hrv_trace::faas::{AppId, FunctionId};
+
+    /// Runs one 1-second call on a two-invoker cluster to `horizon`.
+    fn one_call(horizon: SimDuration, shards: Option<u32>) -> SimOutput {
+        let spec = ClusterSpec::regular(2, 4, 4_096, SimDuration::from_mins(10));
+        let call = Invocation {
+            id: 7,
+            function: FunctionId {
+                app: AppId(3),
+                func: 0,
+            },
+            arrival: SimTime::from_secs(1),
+            duration: SimDuration::from_secs(1),
+            memory_mb: 256,
+            cpu_demand: 1.0,
+        };
+        let cfg = PlatformConfig::default();
+        match shards {
+            None => Simulation::new(spec, vec![call], PolicyKind::Mws.build(), cfg, 5).run(horizon),
+            Some(s) => {
+                ShardedSimulation::new(spec, vec![call], PolicyKind::Mws, cfg, 5, s).run(horizon)
+            }
+        }
+    }
+
+    #[test]
+    fn report_on_the_bus_at_the_horizon_is_recorded_once() {
+        let full = one_call(SimDuration::from_secs(60), None);
+        let done = &full.collector.records[0];
+        assert_eq!(done.outcome, Outcome::Completed);
+        // Stop one microsecond after the call finished: its completion
+        // report is still on the bus to the controller, which therefore
+        // still lists the call in flight.
+        let horizon = done.finished.since(SimTime::ZERO) + SimDuration::from_micros(1);
+        for shards in [None, Some(1), Some(2)] {
+            let out = one_call(horizon, shards);
+            out.assert_conservation();
+            let recs = &out.collector.records;
+            assert_eq!(recs.len(), 1, "{shards:?}: one call, one record: {recs:?}");
+            assert_eq!(recs[0].id, 7);
+            assert_eq!(recs[0].outcome, Outcome::Completed, "{shards:?}");
+            assert_eq!(recs[0].finished, done.finished, "{shards:?}");
+        }
     }
 }
 
